@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and code Valid for ``verify``); 1 verification failed
 or a survey found a violation; 2 construction/solver precondition violated;
-3 parse or parameter error; 4 solver budget exceeded.
+3 parse or parameter error; 4 solver budget exceeded (also during a survey).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .solver import (
     gamma_id,
     gamma_tid,
 )
-from .survey import BoundViolation, survey_trees
+from .survey import BoundViolation, SurveyBudgetError, survey_trees
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -268,6 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     except BoundViolation as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except SurveyBudgetError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (
         construct.PreconditionError,
         NotIdentifiableError,

@@ -2,7 +2,8 @@
 
 One row is emitted per tree, in the canonical enumeration order.  Any tree
 violating an applicable bound aborts the survey with its edge list; this is
-the primary falsification channel for the bound suite.
+the primary falsification channel for the bound suite.  A tree whose exact
+solve runs out of budget aborts it too, with a distinct error.
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ class BoundViolation(AssertionError):
         self.tree = tree
 
 
+class SurveyBudgetError(RuntimeError):
+    """The exact solve ran out of its node budget on a concrete tree."""
+
+    def __init__(self, tree: Graph):
+        super().__init__(
+            "exact solve exceeded the node budget on tree:\n" + format_edge_list(tree)
+        )
+        self.tree = tree
+
+
 @dataclass(frozen=True)
 class SurveySummary:
     n_max: int
@@ -74,6 +85,8 @@ def _survey_one(args: tuple[Graph, int]) -> tuple[Graph, BoundReport, bool]:
 def _check_tree(tree: Graph, report: BoundReport, two_corona: bool) -> None:
     """Assert every applicable bound and the 2n/3 extremal equivalence."""
     gamma = report.exact
+    if report.exact_status == bnd.EXACT_BUDGET_EXCEEDED:
+        raise SurveyBudgetError(tree)
     if gamma is None:
         raise BoundViolation(
             f"exact solve unavailable ({report.exact_status})", tree
@@ -142,7 +155,9 @@ def survey_trees(
     Writes one CSV row per tree to ``out`` (when given) and returns a
     summary.  Sizes 13 and 14 must be opted into with ``allow_large``.
     With ``jobs > 1``, trees are processed by a worker pool; rows are still
-    emitted in canonical order.
+    emitted in canonical order.  Raises :class:`BoundViolation` on a failed
+    bound and :class:`SurveyBudgetError` when an exact solve runs out of
+    ``budget``.
     """
     limit = SURVEY_MAX_OPT_IN if allow_large else SURVEY_MAX_DEFAULT
     if not (3 <= n_max <= limit):

@@ -53,6 +53,12 @@ def naive_gamma_tid(g: Graph) -> int | None:
     return None
 
 
+def all_pairs_separation_masks(g: Graph) -> list[int]:
+    """N[u] xor N[v] as a bitmask for every vertex pair, however far apart."""
+    closed = [sum(1 << w for w in closed_nbhd(g, v)) for v in range(g.n)]
+    return [closed[u] ^ closed[v] for u, v in combinations(range(g.n), 2)]
+
+
 # ---------------------------------------------------------------------------
 # Free-tree counting by Prüfer enumeration plus canonical-form dedup.
 # The canonical form here (nested tuples rooted at centers found by leaf

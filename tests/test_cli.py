@@ -195,6 +195,11 @@ class TestSurvey:
         code, _, err = run(capsys, ["survey", "trees", "--max-n", "13"])
         assert code == 3
 
+    def test_budget_exceeded(self, capsys):
+        code, _, err = run(capsys, ["survey", "trees", "--max-n", "6", "--budget", "1"])
+        assert code == 4
+        assert "budget" in err
+
 
 class TestParseErrors:
     def test_missing_file(self, capsys):

@@ -3,18 +3,22 @@ import math
 import pytest
 from hypothesis import given
 
-from idcodes.families import clique_corona1, corona, cycle, path, star
+from idcodes.families import clique_corona1, corona, cycle, path, random_tree, star
 from idcodes.graph import from_edge_list, profile
 from idcodes.identify import verify_identifying, verify_td_identifying
 from idcodes.solver import (
     IsolatedVertexError,
     NotIdentifiableError,
+    _closed_masks,
+    _open_masks,
+    _reduce_constraints,
+    _separation_masks,
     gamma_id,
     gamma_tid,
 )
 
 from conftest import connected_graphs, graphs
-from oracles import naive_gamma_id, naive_gamma_tid
+from oracles import all_pairs_separation_masks, naive_gamma_id, naive_gamma_tid
 
 
 class TestKnownValues:
@@ -135,3 +139,33 @@ class TestStructuralProperties:
             result = gamma_id(g)
             assert verify_identifying(g, result.witness).is_valid
             assert len(result.witness) == result.value
+
+
+class TestLocalSeparation:
+    """Separation masks for pairs at distance <= 2 give the same reduced
+    constraint family as masks for all pairs, under either domination."""
+
+    @staticmethod
+    def assert_same_family(g):
+        local = _separation_masks(g)
+        every = all_pairs_separation_masks(g)
+        for domination in (_closed_masks(g), _open_masks(g)):
+            assert _reduce_constraints(domination + local) == _reduce_constraints(
+                domination + every
+            )
+
+    @given(connected_graphs(max_n=8))
+    def test_sampled_graphs(self, g):
+        self.assert_same_family(g)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_random_trees(self, n, seed):
+        self.assert_same_family(random_tree(n, seed))
+
+
+class TestBranching:
+    def test_random_tree_60_within_budget(self):
+        result = gamma_id(random_tree(60, 0), budget=200_000)
+        assert result.proven_optimal
+        assert result.value == 36

@@ -8,6 +8,7 @@ from idcodes.families import is_2corona, path
 from idcodes.survey import (
     CSV_COLUMNS,
     BoundViolation,
+    SurveyBudgetError,
     SurveySummary,
     _check_tree,
     survey_trees,
@@ -48,6 +49,12 @@ class TestSurveyTrees:
         s2 = survey_trees(6, out=multi, jobs=2)
         assert solo.getvalue() == multi.getvalue()
         assert s1 == s2
+
+    def test_budget_exhaustion_is_not_a_violation(self):
+        with pytest.raises(SurveyBudgetError) as err:
+            survey_trees(6, budget=1)
+        assert not isinstance(err.value, BoundViolation)
+        assert err.value.tree.n == 3  # the first tree surveyed
 
     def test_summary_json(self):
         summary = survey_trees(5)
